@@ -3,7 +3,6 @@ package wal
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -67,13 +66,30 @@ func RecoverFrom(dir string, fsys FS, store *storage.Store, reg txn.Registry, ap
 		if seg.start > expect {
 			break // gap: the previous segment lost its tail, nothing later is reachable
 		}
-		n, done, err := replaySegment(fsys, filepath.Join(dir, seg.name), expect, reg, apply)
+		n, _, torn, err := readSegment(fsys, filepath.Join(dir, seg.name), expect, func(epoch uint64, payload []byte) error {
+			// Fresh buffer per record: DecodeBatch may alias its input.
+			txns, _, err := txn.DecodeBatch(append([]byte(nil), payload...))
+			if err != nil {
+				// The CRC passed but the payload does not decode: the record
+				// never finished its way to disk coherently — a torn tail.
+				return errCorrupt
+			}
+			for _, t := range txns {
+				if err := reg.Resolve(t); err != nil {
+					return fmt.Errorf("wal: recover: resolve: %w", err)
+				}
+			}
+			if err := apply(epoch, txns); err != nil {
+				return fmt.Errorf("wal: recover: apply: %w", err)
+			}
+			return nil
+		})
 		expect += uint64(n)
 		info.Batches += n
 		if err != nil {
 			return info, err
 		}
-		if done {
+		if torn {
 			break // torn tail inside this segment
 		}
 	}
@@ -104,46 +120,4 @@ func restoreSnapshotFile(fsys FS, path string, epoch uint64, store *storage.Stor
 		return fmt.Errorf("wal: recover %s: %w", filepath.Base(path), err)
 	}
 	return nil
-}
-
-// replaySegment replays one segment's intact records starting at epoch start.
-// done=true means replay must stop (torn tail, epoch break, or missing file);
-// a non-nil error is a real failure from resolve/apply, not corruption.
-func replaySegment(fsys FS, path string, start uint64, reg txn.Registry, apply func(epoch uint64, txns []*txn.Txn) error) (n int, done bool, err error) {
-	f, err := fsys.Open(path)
-	if notExist(err) {
-		return 0, true, nil // listed but gone: same as a fully lost tail
-	}
-	if err != nil {
-		return 0, true, err
-	}
-	defer f.Close()
-	rp := NewReplayer(bufio.NewReaderSize(f, 1<<16))
-	for {
-		epoch, txns, err := rp.Next()
-		if err == io.EOF {
-			return n, false, nil
-		}
-		if errors.Is(err, ErrCorrupt) {
-			return n, true, nil
-		}
-		if err != nil {
-			// Framing/CRC passed but the payload does not decode: treat as
-			// corruption too — the record never finished its way to disk
-			// coherently.
-			return n, true, nil
-		}
-		if epoch != start+uint64(n) {
-			return n, true, nil // epoch break: stale bytes beyond the true tail
-		}
-		for _, t := range txns {
-			if err := reg.Resolve(t); err != nil {
-				return n, false, fmt.Errorf("wal: recover: resolve: %w", err)
-			}
-		}
-		if err := apply(epoch, txns); err != nil {
-			return n, false, fmt.Errorf("wal: recover: apply: %w", err)
-		}
-		n++
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"path/filepath"
 	"strconv"
@@ -325,13 +324,13 @@ func (w *Writer) repair() error {
 			w.next = expect
 			return nil
 		}
-		recs, validBytes, intact, err := scanSegment(w.fs, filepath.Join(w.dir, seg.name), expect)
+		recs, size, torn, err := readSegment(w.fs, filepath.Join(w.dir, seg.name), expect, nil)
 		if err != nil {
 			return err
 		}
 		expect += uint64(recs)
-		if !intact {
-			if err := w.fs.Truncate(filepath.Join(w.dir, seg.name), validBytes); err != nil {
+		if torn {
+			if err := w.fs.Truncate(filepath.Join(w.dir, seg.name), size); err != nil {
 				return fmt.Errorf("wal: repair %s: %w", seg.name, err)
 			}
 			w.dropSegments(i + 1)
@@ -375,49 +374,6 @@ func (w *Writer) cleanOrphans() {
 		if owned {
 			_ = w.fs.Remove(filepath.Join(w.dir, name))
 		}
-	}
-}
-
-// scanSegment reads a segment sequentially, verifying each record's framing,
-// CRC and epoch contiguity from start. It returns the number of intact
-// records, the byte length of the intact prefix, and whether the segment ends
-// cleanly (intact=false means a torn/damaged tail begins at validBytes).
-func scanSegment(fsys FS, path string, start uint64) (recs int, validBytes int64, intact bool, err error) {
-	f, err := fsys.Open(path)
-	if notExist(err) {
-		// Listed but missing: treat like a fully lost tail.
-		return 0, 0, false, nil
-	}
-	if err != nil {
-		return 0, 0, false, err
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<16)
-	var hdr [recordHeader]byte
-	buf := make([]byte, 0, 1<<16)
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return recs, validBytes, err == io.EOF, nil
-		}
-		if binary.LittleEndian.Uint32(hdr[:]) != magic {
-			return recs, validBytes, false, nil
-		}
-		epoch := binary.LittleEndian.Uint64(hdr[4:])
-		n := binary.LittleEndian.Uint32(hdr[12:])
-		sum := binary.LittleEndian.Uint32(hdr[16:])
-		if n > MaxRecordBytes {
-			return recs, validBytes, false, nil
-		}
-		payload, err := readPayload(r, int(n), buf[:0])
-		if err != nil {
-			return recs, validBytes, false, nil
-		}
-		buf = payload
-		if crc32.ChecksumIEEE(payload) != sum || epoch != start+uint64(recs) {
-			return recs, validBytes, false, nil
-		}
-		recs++
-		validBytes += int64(recordHeader) + int64(n)
 	}
 }
 
@@ -474,31 +430,11 @@ func (w *Writer) poison(err error) error {
 	return w.err
 }
 
-// LogBatch implements the BatchLogger hook: it appends the batch input
-// (framed exactly like the legacy single-stream Log) to the tail segment,
-// rotating on the size/epoch triggers and fsyncing per policy, before the
-// engine commits the batch.
+// LogBatch implements the BatchLogger hook: it appends the batch input as
+// one record to the tail segment, rotating on the size/epoch triggers and
+// fsyncing per policy, before the engine commits the batch.
 func (w *Writer) LogBatch(epoch uint64, txns []*txn.Txn) error {
-	if w.err != nil {
-		return w.err
-	}
-	if !w.offsetSet {
-		w.offset = w.next - epoch
-		w.offsetSet = true
-	}
-	if epoch+w.offset != w.next {
-		return fmt.Errorf("wal: non-monotonic epoch %d (expected %d)", epoch, w.next-w.offset)
-	}
-	w.buf = w.buf[:0]
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, magic)
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, w.next)
-	lenAt := len(w.buf)
-	w.buf = append(w.buf, 0, 0, 0, 0, 0, 0, 0, 0) // payloadLen + crc placeholders
-	w.buf = txn.AppendBatch(w.buf, txns)
-	payload := w.buf[recordHeader:]
-	binary.LittleEndian.PutUint32(w.buf[lenAt:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(w.buf[lenAt+4:], crc32.ChecksumIEEE(payload))
-	return w.appendFrame()
+	return w.log(epoch, func(b []byte) []byte { return txn.AppendBatch(b, txns) })
 }
 
 // LogRaw appends one batch whose payload is already encoded (the replication
@@ -506,6 +442,13 @@ func (w *Writer) LogBatch(epoch uint64, txns []*txn.Txn) error {
 // stream replays them, without a decode/re-encode round trip). Epoch rules
 // are identical to LogBatch.
 func (w *Writer) LogRaw(epoch uint64, payload []byte) error {
+	return w.log(epoch, func(b []byte) []byte { return append(b, payload...) })
+}
+
+// log frames the payload body appends as the record for the caller's epoch
+// and lands it: rotate on the size trigger, write, fsync per policy, rotate
+// on the epoch trigger.
+func (w *Writer) log(epoch uint64, body func([]byte) []byte) error {
 	if w.err != nil {
 		return w.err
 	}
@@ -516,18 +459,7 @@ func (w *Writer) LogRaw(epoch uint64, payload []byte) error {
 	if epoch+w.offset != w.next {
 		return fmt.Errorf("wal: non-monotonic epoch %d (expected %d)", epoch, w.next-w.offset)
 	}
-	w.buf = w.buf[:0]
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, magic)
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, w.next)
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(payload)))
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32.ChecksumIEEE(payload))
-	w.buf = append(w.buf, payload...)
-	return w.appendFrame()
-}
-
-// appendFrame lands the frame staged in w.buf: rotate on the size trigger,
-// write, fsync per policy, rotate on the epoch trigger.
-func (w *Writer) appendFrame() error {
+	w.buf = appendRecord(w.buf[:0], w.next, body)
 	if w.tailSize > 0 && w.tailSize+int64(len(w.buf)) > int64(w.opts.SegmentBytes) {
 		if err := w.rotate(); err != nil {
 			return err

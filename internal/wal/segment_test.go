@@ -1,8 +1,6 @@
 package wal
 
 import (
-	"bytes"
-	"encoding/binary"
 	"testing"
 
 	"github.com/exploratory-systems/qotp/internal/core"
@@ -215,37 +213,43 @@ func TestEpochMonotonicityWriter(t *testing.T) {
 	}
 }
 
-// TestEpochGapStopsRecovery hand-builds a segment whose records jump an
-// epoch; replay must stop at the gap rather than apply stale bytes.
+// TestEpochGapStopsRecovery hand-builds segments whose third record breaks
+// the log — its epoch jumps, or its payload passes the CRC but does not
+// decode; replay must stop there rather than apply stale bytes.
 func TestEpochGapStopsRecovery(t *testing.T) {
-	fs := NewFaultFS()
-	dir := "/wal"
-	if err := fs.MkdirAll(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeManifest(fs, dir, manifest{segments: []segInfo{{name: segFileName(0), start: 0}}}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := fs.Create(dir + "/" + segFileName(0))
-	if err != nil {
-		t.Fatal(err)
-	}
 	gen := ycsb.MustNew(ycsbCfg(2))
-	l := New(f)
-	for _, e := range []uint64{0, 1, 3} { // gap: 2 is missing
-		if err := l.LogBatch(e, gen.NextBatch(5)); err != nil {
+	batch := func(b []byte) []byte { return txn.AppendBatch(b, gen.NextBatch(5)) }
+	junk := func(b []byte) []byte { return append(b, "not a batch"...) }
+	for _, tc := range []struct {
+		name  string
+		epoch uint64
+		third func([]byte) []byte
+	}{{"gap", 3, batch}, {"undecodable", 2, junk}} {
+		fs := NewFaultFS()
+		dir := "/wal"
+		if err := fs.MkdirAll(dir); err != nil {
 			t.Fatal(err)
 		}
-	}
-	f.Sync()
-	gen2 := ycsb.MustNew(ycsbCfg(2))
-	n := 0
-	info, err := RecoverFrom(dir, fs, nil, gen2.Registry(), func(uint64, []*txn.Txn) error { n++; return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Batches != 2 || n != 2 || info.NextEpoch != 2 {
-		t.Errorf("replayed %d batches (next %d), want 2 (next 2): gap must stop replay", info.Batches, info.NextEpoch)
+		if err := writeManifest(fs, dir, manifest{segments: []segInfo{{name: segFileName(0), start: 0}}}); err != nil {
+			t.Fatal(err)
+		}
+		f, err := fs.Create(dir + "/" + segFileName(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := appendRecord(appendRecord(nil, 0, batch), 1, batch)
+		if _, err := f.Write(appendRecord(data, tc.epoch, tc.third)); err != nil {
+			t.Fatal(err)
+		}
+		f.Sync()
+		n := 0
+		info, err := RecoverFrom(dir, fs, nil, ycsb.MustNew(ycsbCfg(2)).Registry(), func(uint64, []*txn.Txn) error { n++; return nil })
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if info.Batches != 2 || n != 2 || info.NextEpoch != 2 {
+			t.Errorf("%s: replayed %d batches (next %d), want 2 (next 2)", tc.name, info.Batches, info.NextEpoch)
+		}
 	}
 }
 
@@ -338,34 +342,5 @@ func TestRecoverEmptyDir(t *testing.T) {
 	}
 	if info != (RecoveryInfo{}) {
 		t.Errorf("non-zero info %+v for empty dir", info)
-	}
-}
-
-// TestHostileHeaderClamped is the satellite fix: a header declaring a huge
-// payload length must fail with ErrCorrupt, not allocate the claimed size.
-func TestHostileHeaderClamped(t *testing.T) {
-	for _, n := range []uint32{MaxRecordBytes + 1, 0xFFFFFFF0} {
-		var b bytes.Buffer
-		var hdr [recordHeader]byte
-		binary.LittleEndian.PutUint32(hdr[:], magic)
-		binary.LittleEndian.PutUint64(hdr[4:], 0)
-		binary.LittleEndian.PutUint32(hdr[12:], n)
-		binary.LittleEndian.PutUint32(hdr[16:], 0)
-		b.Write(hdr[:])
-		b.WriteString("tiny")
-		if _, _, err := NewReplayer(&b).Next(); err != ErrCorrupt {
-			t.Errorf("hostile length %#x: got %v, want ErrCorrupt", n, err)
-		}
-	}
-	// Within the cap but beyond the stream: chunked reading stops at the
-	// delivered bytes, ErrCorrupt, no up-front allocation of the full claim.
-	var b bytes.Buffer
-	var hdr [recordHeader]byte
-	binary.LittleEndian.PutUint32(hdr[:], magic)
-	binary.LittleEndian.PutUint32(hdr[12:], MaxRecordBytes)
-	b.Write(hdr[:])
-	b.WriteString("short")
-	if _, _, err := NewReplayer(&b).Next(); err != ErrCorrupt {
-		t.Errorf("truncated max-length record: got %v, want ErrCorrupt", err)
 	}
 }

@@ -1,10 +1,8 @@
 package wal
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"io"
 	"path/filepath"
 )
@@ -47,12 +45,20 @@ func ReadRange(dir string, fsys FS, from, to uint64, fn func(epoch uint64, paylo
 		if seg.start > expect {
 			break // gap: an unsynced tail was lost; nothing later is reachable
 		}
-		n, done, err := streamSegment(fsys, filepath.Join(dir, seg.name), expect, from, to, fn)
+		n, _, torn, err := readSegment(fsys, filepath.Join(dir, seg.name), expect, func(epoch uint64, payload []byte) error {
+			if epoch >= to {
+				return errStop
+			}
+			if epoch < from {
+				return nil
+			}
+			return fn(epoch, payload)
+		})
 		expect += uint64(n)
 		if err != nil {
 			return expect, err
 		}
-		if done {
+		if torn {
 			break
 		}
 	}
@@ -60,53 +66,6 @@ func ReadRange(dir string, fsys FS, from, to uint64, fn func(epoch uint64, paylo
 		expect = to
 	}
 	return expect, nil
-}
-
-// streamSegment walks one segment's records from epoch start, invoking fn
-// for those within [from, to). n counts records consumed (streamed or
-// skipped); done=true means reading must stop (torn tail, epoch break, or
-// missing file); err is a failure from fn.
-func streamSegment(fsys FS, path string, start, from, to uint64, fn func(epoch uint64, payload []byte) error) (n int, done bool, err error) {
-	f, err := fsys.Open(path)
-	if notExist(err) {
-		return 0, true, nil
-	}
-	if err != nil {
-		return 0, true, err
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<16)
-	var hdr [recordHeader]byte
-	buf := make([]byte, 0, 1<<16)
-	for start+uint64(n) < to {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return n, err != io.EOF, nil
-		}
-		if binary.LittleEndian.Uint32(hdr[:]) != magic {
-			return n, true, nil
-		}
-		epoch := binary.LittleEndian.Uint64(hdr[4:])
-		plen := binary.LittleEndian.Uint32(hdr[12:])
-		sum := binary.LittleEndian.Uint32(hdr[16:])
-		if plen > MaxRecordBytes {
-			return n, true, nil
-		}
-		payload, err := readPayload(r, int(plen), buf[:0])
-		if err != nil {
-			return n, true, nil
-		}
-		buf = payload
-		if crc32.ChecksumIEEE(payload) != sum || epoch != start+uint64(n) {
-			return n, true, nil
-		}
-		if epoch >= from {
-			if err := fn(epoch, payload); err != nil {
-				return n, true, err
-			}
-		}
-		n++
-	}
-	return n, false, nil
 }
 
 // ReadSnapshotRaw returns the log's current snapshot image (the bytes after

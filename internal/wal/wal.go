@@ -4,23 +4,23 @@
 // engine reproduces the exact database state — no ARIES-style physical
 // logging, another practical payoff of determinism the paper leans on.
 //
+// Every batch is one record; appendRecord is the only encoder of the record
+// frame and scanRecords the only decoder.
+package wal
+
+import (
+	"bufio"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"io"
+)
+
 // Record format (little endian):
 //
 //	magic u32 | epoch u64 | payloadLen u32 | crc32(payload) u32 | payload
 //
 // where payload is the txn.AppendBatch encoding of the batch.
-package wal
-
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"hash/crc32"
-	"io"
-
-	"github.com/exploratory-systems/qotp/internal/txn"
-)
-
 const (
 	magic        = 0x51435142 // "QCQB"
 	recordHeader = 20         // magic + epoch + payloadLen + crc
@@ -33,78 +33,85 @@ const (
 // smaller.
 const MaxRecordBytes = 1 << 26
 
-// Log appends batch records to an io.Writer. Not safe for concurrent use;
-// the engines log from the single commit path.
-type Log struct {
-	w   io.Writer
-	buf []byte
+var (
+	// errCorrupt, returned by a scan callback, rejects the record it was
+	// handed as a torn tail: scanning stops before it, as at a bad frame.
+	errCorrupt = errors.New("wal: corrupt record")
+	// errStop, returned by a scan callback, ends the scan cleanly before the
+	// record it was handed.
+	errStop = errors.New("wal: stop scan")
+)
+
+// appendRecord appends one record for epoch to dst. body appends the payload
+// to the slice it is given, so a batch is encoded straight into the frame
+// with no staging copy; the header's length and CRC are filled in after it.
+func appendRecord(dst []byte, epoch uint64, body func([]byte) []byte) []byte {
+	at := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, magic)
+	dst = binary.LittleEndian.AppendUint64(dst, epoch)
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // payloadLen + crc, filled below
+	dst = body(dst)
+	payload := dst[at+recordHeader:]
+	binary.LittleEndian.PutUint32(dst[at+12:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[at+16:], crc32.ChecksumIEEE(payload))
+	return dst
 }
 
-// New creates a command log writing to w.
-func New(w io.Writer) *Log { return &Log{w: w} }
-
-// LogBatch implements the engine BatchLogger hook: it durably appends the
-// batch input before the engine commits it.
-func (l *Log) LogBatch(epoch uint64, txns []*txn.Txn) error {
-	payload := txn.AppendBatch(nil, txns)
-	l.buf = l.buf[:0]
-	l.buf = binary.LittleEndian.AppendUint32(l.buf, magic)
-	l.buf = binary.LittleEndian.AppendUint64(l.buf, epoch)
-	l.buf = binary.LittleEndian.AppendUint32(l.buf, uint32(len(payload)))
-	l.buf = binary.LittleEndian.AppendUint32(l.buf, crc32.ChecksumIEEE(payload))
-	l.buf = append(l.buf, payload...)
-	if _, err := l.w.Write(l.buf); err != nil {
-		return fmt.Errorf("wal: append epoch %d: %w", epoch, err)
-	}
-	return nil
-}
-
-// ErrCorrupt reports a checksum or framing failure during replay; recovery
-// treats it as the end of the usable log (a torn tail write).
-var ErrCorrupt = errors.New("wal: corrupt record")
-
-// Replayer reads batches back from a log stream.
-type Replayer struct {
-	r io.Reader
-}
-
-// NewReplayer creates a replayer over r.
-func NewReplayer(r io.Reader) *Replayer { return &Replayer{r: r} }
-
-// Next returns the next logged batch, io.EOF at clean end of log, or
-// ErrCorrupt for a torn/damaged record.
-func (rp *Replayer) Next() (epoch uint64, txns []*txn.Txn, err error) {
-	var hdr [20]byte
-	if _, err := io.ReadFull(rp.r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return 0, nil, io.EOF
+// scanRecords reads the records of one segment from r, verifying each frame's
+// magic, length (at most MaxRecordBytes), CRC and epoch — the first record
+// must carry start, each later one the next epoch — and hands every intact
+// record to fn (nil accepts all) in order. The payload is only valid during
+// the call. fn may return errStop to end the scan cleanly, errCorrupt to
+// reject the record as torn, or any other error to abort.
+//
+// recs and size count the records fn accepted and their frame bytes; torn
+// reports that the scan stopped at a torn or damaged record rather than at a
+// clean end of stream; err is fn's failure.
+func scanRecords(r io.Reader, start uint64, fn func(epoch uint64, payload []byte) error) (recs int, size int64, torn bool, err error) {
+	var hdr [recordHeader]byte
+	var buf []byte
+	for {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return recs, size, err != io.EOF, nil
 		}
-		return 0, nil, ErrCorrupt // torn header
+		epoch := binary.LittleEndian.Uint64(hdr[4:])
+		n := binary.LittleEndian.Uint32(hdr[12:])
+		if binary.LittleEndian.Uint32(hdr[:]) != magic || n > MaxRecordBytes || epoch != start+uint64(recs) {
+			return recs, size, true, nil
+		}
+		payload, err := readPayload(r, int(n), buf[:0])
+		if err != nil || crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[16:]) {
+			return recs, size, true, nil
+		}
+		buf = payload
+		if fn != nil {
+			switch err := fn(epoch, payload); err {
+			case nil:
+			case errStop:
+				return recs, size, false, nil
+			case errCorrupt:
+				return recs, size, true, nil
+			default:
+				return recs, size, true, err
+			}
+		}
+		recs++
+		size += recordHeader + int64(n)
 	}
-	if binary.LittleEndian.Uint32(hdr[:]) != magic {
-		return 0, nil, ErrCorrupt
+}
+
+// readSegment runs scanRecords over the segment file at path. A segment the
+// manifest lists but the directory lacks reads as a torn tail at its start.
+func readSegment(fsys FS, path string, start uint64, fn func(epoch uint64, payload []byte) error) (recs int, size int64, torn bool, err error) {
+	f, err := fsys.Open(path)
+	if notExist(err) {
+		return 0, 0, true, nil
 	}
-	epoch = binary.LittleEndian.Uint64(hdr[4:])
-	n := binary.LittleEndian.Uint32(hdr[12:])
-	sum := binary.LittleEndian.Uint32(hdr[16:])
-	if n > MaxRecordBytes {
-		return 0, nil, ErrCorrupt // hostile length field
-	}
-	// Fresh buffer per record (DecodeBatch may alias the payload), grown only
-	// as the stream actually delivers bytes, so a hostile length never
-	// allocates more than one chunk past the real data.
-	payload, rerr := readPayload(rp.r, int(n), nil)
-	if rerr != nil {
-		return 0, nil, ErrCorrupt // torn payload
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return 0, nil, ErrCorrupt
-	}
-	txns, _, err = txn.DecodeBatch(payload)
 	if err != nil {
-		return 0, nil, fmt.Errorf("wal: decode epoch %d: %w", epoch, err)
+		return 0, 0, true, err
 	}
-	return epoch, txns, nil
+	defer f.Close()
+	return scanRecords(bufio.NewReaderSize(f, 1<<16), start, fn)
 }
 
 // readPayload reads exactly n payload bytes into buf (grown from its own
@@ -124,32 +131,4 @@ func readPayload(r io.Reader, n int, buf []byte) ([]byte, error) {
 		}
 	}
 	return buf[:n], nil
-}
-
-// ReplayAll feeds every intact logged batch to apply, in epoch order,
-// stopping cleanly at EOF or a torn tail. Returns the number of batches
-// replayed.
-func (rp *Replayer) ReplayAll(reg txn.Registry, apply func(epoch uint64, txns []*txn.Txn) error) (int, error) {
-	n := 0
-	for {
-		epoch, txns, err := rp.Next()
-		if err == io.EOF {
-			return n, nil
-		}
-		if errors.Is(err, ErrCorrupt) {
-			return n, nil // torn tail: recovered prefix is the durable state
-		}
-		if err != nil {
-			return n, err
-		}
-		for _, t := range txns {
-			if err := reg.Resolve(t); err != nil {
-				return n, err
-			}
-		}
-		if err := apply(epoch, txns); err != nil {
-			return n, err
-		}
-		n++
-	}
 }

@@ -3,6 +3,7 @@ package tpcc
 import (
 	"testing"
 
+	"github.com/exploratory-systems/qotp/internal/core"
 	"github.com/exploratory-systems/qotp/internal/storage"
 	"github.com/exploratory-systems/qotp/internal/txn"
 )
@@ -263,5 +264,31 @@ func TestGenerationAllocsPerTxn(t *testing.T) {
 	perBatch := testing.AllocsPerRun(10, gen)
 	if perTxn := perBatch / 500; perTxn >= 5 {
 		t.Errorf("TPC-C generation costs %.1f allocs/txn, want < 5", perTxn)
+	}
+}
+
+// TestDeliveryFirstInStreamStampsDate pins delivery dates to a non-zero
+// virtual timestamp. On these seeds a Delivery is the stream's first
+// transaction; stamping it with the transaction counter (0 there) left its
+// order lines looking undelivered and failed the consistency check.
+func TestDeliveryFirstInStreamStampsDate(t *testing.T) {
+	for _, seed := range []uint64{7, 22, 66} {
+		cfg := testConfig(2)
+		cfg.Seed = seed
+		g := MustNew(cfg)
+		s := loadStore(t, g)
+		eng, err := core.New(s, core.Config{Planners: 1, Executors: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b := 0; b < 3; b++ {
+			if err := eng.ExecBatch(g.NextBatch(100)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng.Close()
+		if err := g.CheckConsistency(s); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
 	}
 }

@@ -471,7 +471,7 @@ func (g *Workload) delivery() *txn.Txn {
 	d := g.delivD
 	sh := g.shadow[w-1][d-1]
 	carrier := uint64(1 + g.rng.Intn(10))
-	now := g.nextID
+	now := g.nextID + 1 // deterministic virtual timestamp; 0 reads as "undelivered"
 
 	t := g.arena.NewTxn()
 	districtReadOnly := func() *txn.Txn {
